@@ -30,6 +30,8 @@ let pp_violation fmt v =
   Format.fprintf fmt "[%a] %s %s: %s" Time.pp v.at (kind_to_string v.kind) v.label
     v.detail
 
+module Itbl = Hashtbl.Make (Int)
+
 (* Per-receiving-endpoint delivery-stream state. *)
 type stream = { mutable last_seq : int option; mutable ever_unreliable : bool }
 
@@ -44,7 +46,8 @@ type t = {
   streams : (int, stream) Hashtbl.t;
   delivered : (string, int ref) Hashtbl.t;  (* per-label delivery counts *)
   mutable tracked : (string * Session.t) list;  (* insertion order *)
-  prev_totals : (int * Unites.metric, float) Hashtbl.t;
+  prev_totals : float Itbl.t; (* keyed by UNITES cell *)
+  mutable registrations_seen : int; (* [Unites.registrations] at the last sweep *)
   mutable adaptations_seen : int;
   last_switch : (int, Time.t) Hashtbl.t;
   mutable heal_seen : Time.t;
@@ -77,7 +80,8 @@ let create ~engine ~unites ?mantts ?trace ?(liveness_bound = Time.sec 10.0)
     streams = Hashtbl.create 16;
     delivered = Hashtbl.create 16;
     tracked = [];
-    prev_totals = Hashtbl.create 64;
+    prev_totals = Itbl.create 64;
+    registrations_seen = 0;
     adaptations_seen = 0;
     last_switch = Hashtbl.create 16;
     heal_seen = Time.zero;
@@ -191,36 +195,48 @@ let track_sender t ~label sender = t.tracked <- t.tracked @ [ (label, sender) ]
 (* ------------------------------------------------------------------ *)
 (* Periodic sweep *)
 
+(* Walks the UNITES cells of the monotone metrics, not sessions x
+   metrics: cells are never removed, so an absent cell reads 0 and cannot
+   regress.  A cell seen for the first time did read 0 at the previous
+   sweep if its session was registered by then. *)
 let check_monotone t =
+  let u = t.unites and seen = t.registrations_seen in
+  let check rank m acc ~cell ~session total =
+    let regressed prev = total < prev -. 1e-9 in
+    let acc =
+      match Itbl.find t.prev_totals cell with
+      | prev -> if regressed prev then (session, rank, m, prev, total) :: acc else acc
+      | exception Not_found ->
+        if regressed 0.0 && not (Unites.registered_since u seen ~session) then
+          (session, rank, m, 0.0, total) :: acc
+        else acc
+    in
+    Itbl.replace t.prev_totals cell total;
+    acc
+  in
+  let regressions = ref [] in
+  List.iteri
+    (fun rank m -> regressions := Unites.fold_cells u m (check rank m) !regressions)
+    monotone_metrics;
+  t.registrations_seen <- Unites.registrations u;
   List.iter
-    (fun (id, _) ->
-      if id >= 1 then
-        List.iter
-          (fun m ->
-            let total = Unites.total t.unites ~session:id m in
-            let key = (id, m) in
-            (match Hashtbl.find_opt t.prev_totals key with
-            | Some prev when total < prev -.  1e-9 ->
-              record t
-                ~label:(Printf.sprintf "session-%d" id)
-                ~kind:Counter_regression
-                ~detail:
-                  (Printf.sprintf "%s fell from %.0f to %.0f"
-                     (Unites.metric_name m) prev total)
-            | Some _ | None -> ());
-            Hashtbl.replace t.prev_totals key total)
-          monotone_metrics)
-    (Unites.sessions t.unites)
+    (fun (session, _, m, prev, total) ->
+      record t
+        ~label:(Printf.sprintf "session-%d" session)
+        ~kind:Counter_regression
+        ~detail:
+          (Printf.sprintf "%s fell from %.0f to %.0f" (Unites.metric_name m) prev
+             total))
+    (List.sort
+       (fun (s, r, _, _, _) (s', r', _, _, _) -> compare (s, r) (s', r'))
+       !regressions)
 
 let check_policy t =
   match t.mantts with
   | None -> ()
   | Some mantts ->
-    let entries = Mantts.adaptations mantts in
-    let fresh =
-      List.filteri (fun i _ -> i >= t.adaptations_seen) entries
-    in
-    t.adaptations_seen <- List.length entries;
+    let fresh = Mantts.adaptations_since mantts t.adaptations_seen in
+    t.adaptations_seen <- Mantts.adaptation_count mantts;
     List.iter
       (fun (at, session, desc) ->
         if String.length desc >= 7 && String.sub desc 0 7 = "switch " then begin

@@ -62,6 +62,10 @@ val create :
     throughput-bound oracle.  Violations are also recorded into [trace]
     as "chaos.violation.<kind>" events. *)
 
+val monotone_metrics : Unites.metric list
+(** The cumulative whitebox counters the UNITES-consistency oracle binds:
+    a registered session's total must never fall between sweeps. *)
+
 val set_injector : t -> Fault.injector -> unit
 (** Connect the fault injector: deliveries feed its time-to-recover
     bookkeeping and its heal times arm the liveness oracle. *)

@@ -170,6 +170,14 @@ val adaptations : t -> (Time.t * int * string) list
 (** Every reconfiguration the policy monitors applied: time, session id,
     human-readable description — oldest first. *)
 
+val adaptation_count : t -> int
+(** Length of the {!adaptations} log.  Entries are never removed, so the
+    count is a cursor for {!adaptations_since}. *)
+
+val adaptations_since : t -> int -> (Time.t * int * string) list
+(** [adaptations_since t n] is the log past its first [n] entries, oldest
+    first, in time proportional to the number of entries returned. *)
+
 val last_reconfigured : t -> Session.t -> Time.t option
 (** When a policy actor — the built-in monitor or an external steering
     engine — last applied a component switch to this session

@@ -1050,10 +1050,11 @@ and handle_timewait disp (recv : Pdu.t Network.recv) ~conn pdu =
   | Pdu.Fin _ ->
     (* The peer is retrying its side of the teardown after ours finished:
        re-answer so it can release its endpoint too. *)
-    let done_at = Host.process disp.d_host ~bytes:64 () in
+    let pdu = Pdu.Fin_ack { conn } in
+    let bytes = Pdu.wire_bytes pdu in
+    let done_at = Host.process disp.d_host ~bytes () in
     Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
-        Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes:64
-          (Pdu.Fin_ack { conn }))
+        Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes pdu)
   | _ ->
     Unites.count disp.d_unites ~session:Unites.swarm_session Unites.Timewait_drops
 
@@ -1065,11 +1066,11 @@ and accept_connection disp (recv : Pdu.t Network.recv) ~conn ~blob ~first =
     match acceptor ~src:recv.Network.src ~conn ~proposal with
     | Reject ->
       (* A rejection still answers, so the initiator can fail fast. *)
-      let engine = disp.d_engine in
-      let done_at = Host.process disp.d_host ~bytes:64 () in
-      Engine.schedule_anon engine ~at:done_at (fun () ->
-          Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes:64
-            (Pdu.Syn_ack { conn; accepted = false; blob = "" }))
+      let pdu = Pdu.Syn_ack { conn; accepted = false; blob = "" } in
+      let bytes = Pdu.wire_bytes pdu in
+      let done_at = Host.process disp.d_host ~bytes () in
+      Engine.schedule_anon disp.d_engine ~at:done_at (fun () ->
+          Network.send disp.net ~src:disp.d_addr ~dst:recv.Network.src ~bytes pdu)
     | Accept { scs; name; on_deliver; on_signal } ->
       let start_seq = decode_start_seq blob in
       let t =

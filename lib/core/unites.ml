@@ -219,6 +219,20 @@ type bcell = {
          more than one bucket, which short-lived sessions never do *)
 }
 
+(* Append-only int vector: one word per element. *)
+type ivec = { mutable items : int array; mutable len : int }
+
+let ivec () = { items = [||]; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.items then begin
+    let a = Array.make (max 8 (2 * v.len)) 0 in
+    Array.blit v.items 0 a 0 v.len;
+    v.items <- a
+  end;
+  Array.unsafe_set v.items v.len x;
+  v.len <- v.len + 1
+
 type t = {
   engine : Engine.t;
   mutable whitebox : bool;
@@ -227,7 +241,13 @@ type t = {
   estimator : Stats.estimator; (* quantile sketch for every accumulator *)
   table : (int, Stats.t) Hashtbl.t; (* packed (session, metric) key *)
   buckets : (int, bcell) Hashtbl.t; (* packed (session, metric) key *)
+  cells : ivec option array;
+      (* per metric index: that metric's [table] keys, built by its first
+         [fold_cells], so a run that never folds pays nothing *)
   names : (int, string) Hashtbl.t;
+  mutable reg_log : (int * ivec) option;
+      (* once [registrations] is first called: the registration count
+         then, and the [names] keys registered since, in order *)
   tmc : (int, int) Hashtbl.t; (* per-session whitebox selection bitmask *)
   mutable session_cap : int; (* individually tracked real sessions *)
   mutable tracked : int;
@@ -276,7 +296,9 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     estimator;
     table = Hashtbl.create 64;
     buckets = Hashtbl.create 64;
+    cells = Array.make (List.length all_metrics) None;
     names = Hashtbl.create 16;
+    reg_log = None;
     tmc = Hashtbl.create 16;
     session_cap = max 1 session_cap;
     tracked = 0;
@@ -288,6 +310,10 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
   }
 
 let set_session_cap t n = t.session_cap <- max 1 n
+
+let add_name t id name =
+  Hashtbl.add t.names id name;
+  match t.reg_log with Some (_, log) -> push log id | None -> ()
 
 (* Route a real session id to its tracking bucket.  The first
    [session_cap] distinct real sessions (in deterministic first-contact
@@ -304,7 +330,7 @@ let route t session =
   end
   else begin
     if not (Hashtbl.mem t.names overflow_session) then
-      Hashtbl.replace t.names overflow_session "overflow";
+      add_name t overflow_session "overflow";
     overflow_session
   end
 
@@ -317,7 +343,21 @@ let register_session t ~id ~name =
      bounded under a session cap. *)
   let id = route t id in
   if id <> overflow_session && not (Hashtbl.mem t.names id) then
-    Hashtbl.add t.names id name
+    add_name t id name
+
+(* Names are never removed, so their count is the registration count. *)
+let registrations t =
+  let n = Hashtbl.length t.names in
+  if t.reg_log = None then t.reg_log <- Some (n, ivec ());
+  n
+
+let registered_since t n ~session =
+  match t.reg_log with
+  | Some (base, log) when n >= base ->
+    let rec scan i = i < log.len && (log.items.(i) = session || scan (i + 1)) in
+    scan (n - base)
+  | _ when n = 0 -> Hashtbl.mem t.names session
+  | _ -> invalid_arg "Unites.registered_since: cursor not from registrations"
 
 let accumulator t k =
   match Hashtbl.find t.table k with
@@ -325,6 +365,7 @@ let accumulator t k =
   | exception Not_found ->
     let s = Stats.create ~estimator:t.estimator ~reservoir:t.res_size () in
     Hashtbl.add t.table k s;
+    (match t.cells.(key_metric k) with Some v -> push v k | None -> ());
     s
 
 let record_bucket t k v =
@@ -410,6 +451,28 @@ let mean t ~session m =
   match Hashtbl.find t.table (key session (metric_index m)) with
   | s -> Stats.mean s
   | exception Not_found -> nan
+
+let metric_cells t mi =
+  match t.cells.(mi) with
+  | Some v -> v
+  | None ->
+    let v = ivec () in
+    Hashtbl.iter (fun k _ -> if key_metric k = mi then push v k) t.table;
+    t.cells.(mi) <- Some v;
+    v
+
+(* Cells are never removed, so the metric's index holds every cell a
+   registered session has for it; an absent cell reads 0. *)
+let fold_cells t m f acc =
+  let v = metric_cells t (metric_index m) in
+  let acc = ref acc in
+  for i = 0 to v.len - 1 do
+    let cell = Array.unsafe_get v.items i in
+    let session = cell asr 6 in
+    if session >= 1 && Hashtbl.mem t.names session then
+      acc := f !acc ~cell ~session (Stats.total (Hashtbl.find t.table cell))
+  done;
+  !acc
 
 let aggregate_acc t m =
   let mi = metric_index m in

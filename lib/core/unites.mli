@@ -131,6 +131,17 @@ val set_whitebox : t -> bool -> unit
 val register_session : t -> id:int -> name:string -> unit
 (** Announce a session so reports can label it. *)
 
+val registrations : t -> int
+(** Sessions registered so far, pseudo-sessions included.  Registrations
+    are never undone, so the count is a cursor for {!registered_since}.
+    The first call starts the registration log that cursor reads. *)
+
+val registered_since : t -> int -> session:int -> bool
+(** [registered_since t n ~session]: [session] was registered after the
+    first [n] registrations.  [n] is [0] or an earlier result of
+    {!registrations}; costs O([registrations t - n]).
+    @raise Invalid_argument for any other [n]. *)
+
 val restrict_session : t -> id:int -> metric list -> unit
 (** Honor a session's Transport Measurement Component: record only the
     listed whitebox metrics for this session (blackbox metrics are always
@@ -160,6 +171,16 @@ val aggregate_total : t -> metric -> float
 
 val sessions : t -> (int * string) list
 (** Registered sessions in id order. *)
+
+val fold_cells :
+  t -> metric -> ('a -> cell:int -> session:int -> float -> 'a) -> 'a -> 'a
+(** Fold, in no particular order, over the cells of one metric that
+    belong to registered sessions with id [>= 1], with each cell's
+    running total.  [cell] is a key unique to the (session, metric) pair.
+    Cells are never removed, so a pair not visited reads 0 in {!total}.
+    The first fold over a metric indexes its cells with one scan of the
+    repository; later cells join the index as they are created, so each
+    fold costs O(cells of the metric), not O(sessions). *)
 
 val whitebox_samples : t -> int
 (** Whitebox observations actually recorded — the instrumentation

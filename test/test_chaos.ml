@@ -117,6 +117,141 @@ let test_oracle_undetected_corruption () =
   check_int "damage without detection configured is allowed" 0
     (List.length (Invariant.violations c2))
 
+(* ------------------------------------------------ UNITES consistency *)
+
+let regression_stream c =
+  List.map
+    (fun v ->
+      ( Time.to_string v.Invariant.at,
+        v.Invariant.label,
+        Invariant.kind_to_string v.Invariant.kind,
+        v.Invariant.detail ))
+    (Invariant.violations c)
+
+(* Sessions registered out of order plus one that is never registered:
+   the stream comes out in (session id, metric) order and the
+   unregistered session is not bound by the oracle. *)
+let test_counter_regression () =
+  let engine = Engine.create () in
+  let unites = Unites.create engine in
+  let c = Invariant.create ~engine ~unites () in
+  List.iter
+    (fun id -> Unites.register_session unites ~id ~name:(Printf.sprintf "s%d" id))
+    [ 3; 1; 2 ];
+  let observe_all ~segments ~acks =
+    List.iter
+      (fun id ->
+        Unites.observe unites ~session:id Unites.Segments_sent segments;
+        Unites.observe unites ~session:id Unites.Acks_sent acks)
+      [ 3; 1; 2; 7 ]
+  in
+  observe_all ~segments:5.0 ~acks:4.0;
+  Invariant.start c;
+  Engine.run ~until:(Time.ms 150) engine;
+  observe_all ~segments:(-10.0) ~acks:(-10.0);
+  Engine.run ~until:(Time.ms 250) engine;
+  Invariant.finish c;
+  let at = Time.to_string (Time.ms 200) in
+  let expect id =
+    let label = Printf.sprintf "session-%d" id in
+    [
+      (at, label, "counter_regression", "segments_sent fell from 5 to -5");
+      (at, label, "counter_regression", "acks_sent fell from 4 to -6");
+    ]
+  in
+  let got = regression_stream c in
+  check_int "six violations" 6 (List.length got);
+  check_bool "exact stream in (session, metric) order" true
+    (got = expect 1 @ expect 2 @ expect 3);
+  check_bool "unregistered session 7 is skipped" true
+    (List.for_all (fun (_, label, _, _) -> label <> "session-7") got)
+
+(* The sessions x metrics walk that [check_monotone] used before it
+   walked UNITES cells.  Kept as the reference the differential property
+   below compares the production sweep against. *)
+let reference_monotone prev unites ~at =
+  List.concat_map
+    (fun (id, _) ->
+      if id < 1 then []
+      else
+        List.filter_map
+          (fun m ->
+            let total = Unites.total unites ~session:id m in
+            let v =
+              match Hashtbl.find_opt prev (id, m) with
+              | Some p when total < p -. 1e-9 ->
+                Some
+                  ( at,
+                    Printf.sprintf "session-%d" id,
+                    "counter_regression",
+                    Printf.sprintf "%s fell from %.0f to %.0f"
+                      (Unites.metric_name m) p total )
+              | Some _ | None -> None
+            in
+            Hashtbl.replace prev (id, m) total;
+            v)
+          Invariant.monotone_metrics)
+    (Unites.sessions unites)
+
+type unites_op =
+  | Observe of int * int * int  (* session, metric, value *)
+  | Register of int
+  | Cap of int
+  | Tick
+
+(* One non-monotone metric keeps cells of other metrics in the table. *)
+let op_metrics = Array.of_list (Unites.Setup_latency :: Invariant.monotone_metrics)
+
+let gen_unites_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun s m v -> Observe (s, m, v))
+            (int_range (-5) 9)
+            (int_range 0 (Array.length op_metrics - 1))
+            (int_range (-12) 12) );
+        (2, map (fun id -> Register id) (int_range (-2) 9));
+        (1, map (fun n -> Cap n) (int_range 1 6));
+        (3, pure Tick);
+      ])
+
+let prop_monotone_matches_reference =
+  let print = function
+    | Observe (s, m, v) -> Printf.sprintf "observe(%d,%d,%d)" s m v
+    | Register id -> Printf.sprintf "register(%d)" id
+    | Cap n -> Printf.sprintf "cap(%d)" n
+    | Tick -> "tick"
+  in
+  QCheck2.Test.make ~name:"cell sweep = sessions x metrics reference" ~count:300
+    ~print:QCheck2.Print.(list print)
+    QCheck2.Gen.(list_size (int_range 0 80) gen_unites_op)
+    (fun ops ->
+      let engine = Engine.create () in
+      let unites = Unites.create engine in
+      let c = Invariant.create ~engine ~unites () in
+      let prev = Hashtbl.create 16 and expected = ref [] in
+      let sweep () =
+        let at = Time.to_string (Engine.now engine) in
+        expected := !expected @ reference_monotone prev unites ~at
+      in
+      Invariant.start c;
+      List.iter
+        (function
+          | Observe (s, m, v) ->
+            Unites.observe unites ~session:s op_metrics.(m) (float_of_int v)
+          | Register id ->
+            Unites.register_session unites ~id ~name:(Printf.sprintf "s%d" id)
+          | Cap n -> Unites.set_session_cap unites n
+          | Tick ->
+            Engine.run ~until:(Time.add (Engine.now engine) (Time.ms 100)) engine;
+            sweep ())
+        ops;
+      Invariant.finish c;
+      sweep ();
+      regression_stream c = !expected)
+
 (* --------------------------------------------------------- liveness *)
 
 (* A two-host stack over one slow link: a single Link_down fault heals,
@@ -314,6 +449,9 @@ let suite =
           test_oracle_unreliable_gaps_allowed;
         Alcotest.test_case "undetected corruption" `Quick
           test_oracle_undetected_corruption;
+        Alcotest.test_case "counter regression stream is pinned" `Quick
+          test_counter_regression;
+        QCheck_alcotest.to_alcotest prop_monotone_matches_reference;
       ] );
     ( "chaos.liveness",
       [

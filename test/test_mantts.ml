@@ -325,6 +325,21 @@ let test_renegotiate_adjusts_tsc () =
   Mantts.close_session stack.Adaptive.mantts s;
   Adaptive.run stack ~until:(Time.sec 5.0)
 
+(* The chaos policy oracle reads the log incrementally: the entries past
+   a cursor are exactly the tail of the full log. *)
+let test_adaptations_since () =
+  let stack, a, b = stack_with (Profiles.lan_path ()) in
+  let m = stack.Adaptive.mantts in
+  let s = Mantts.open_session m ~src:a ~acd:(acd_for Qos.default b) () in
+  List.iter (Mantts.note_switch m s) [ "switch x"; "switch y"; "switch z" ];
+  let log = Mantts.adaptations m in
+  let n = Mantts.adaptation_count m in
+  check_int "count is the log length" (List.length log) n;
+  for k = 0 to n do
+    check_bool (Printf.sprintf "entries past %d" k) true
+      (Mantts.adaptations_since m k = List.filteri (fun i _ -> i >= k) log)
+  done
+
 let test_renegotiate_requires_monitor () =
   let stack, a, b = stack_with (Profiles.lan_path ()) in
   let disp = Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts a) in
@@ -500,6 +515,8 @@ let suite =
           test_renegotiate_adjusts_tsc;
         Alcotest.test_case "renegotiate requires a monitor" `Quick
           test_renegotiate_requires_monitor;
+        Alcotest.test_case "adaptation log read past a cursor" `Quick
+          test_adaptations_since;
         Alcotest.test_case "TMC restricts collection" `Quick test_tmc_restricts_metrics;
         Alcotest.test_case "short sessions are not monitored" `Quick
           test_short_sessions_not_monitored;

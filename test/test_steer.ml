@@ -339,6 +339,24 @@ let test_reconfigure_racing_close () =
     (committed_before - transfer_scs.Scs.recv_buffer_segments)
     (Session.Dispatcher.committed_recv_segments f.disp_a)
 
+(* ------------------------------------------------------ wire-true run *)
+
+(* The e14 backdrop in wire-true mode: a Fin retried into time-wait and
+   an admission reject are answered with PDUs whose encoded size the
+   simulator must account exactly, or the codec refuses the frame. *)
+let test_wire_true_backdrop () =
+  let o =
+    Swarm.run
+      {
+        (Bench_harness.Steer_bench.base_config ~sessions:40 ~seed:0x57EE12) with
+        Swarm.steer = Some Steer.default_policy;
+        wire = true;
+        check_invariants = true;
+      }
+  in
+  check_bool "the run was wire-true" true (o.Swarm.wire_report <> None);
+  check_int "no violations" 0 (List.length o.Swarm.violations)
+
 (* ------------------------------------------------------------- suite *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -365,5 +383,10 @@ let suite =
           test_reconfigure_before_open;
         Alcotest.test_case "reconfigure racing close and time-wait" `Quick
           test_reconfigure_racing_close;
+      ] );
+    ( "steer.wire",
+      [
+        Alcotest.test_case "wire-true steered swarm under the e14 backdrop"
+          `Quick test_wire_true_backdrop;
       ] );
   ]

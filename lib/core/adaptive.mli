@@ -44,8 +44,9 @@ val mantts : stack -> Mantts.t
 
 val add_host :
   ?host_cpu:Host.t -> ?buffer_segments:int -> stack -> string -> Network.addr
-(** Register a named host with its MANTTS entity, dispatcher and buffer
-    pool. *)
+(** Register a named host with its MANTTS entity and dispatcher;
+    [buffer_segments] is its passive-open receive-buffer budget (see
+    {!Mantts.add_host}). *)
 
 val connect_hosts :
   stack -> Network.addr -> Network.addr -> Link.t list -> unit

@@ -1,11 +1,10 @@
 open Adaptive_sim
-open Adaptive_buf
 open Adaptive_net
 open Adaptive_mech
 
 type entity = {
   e_disp : Session.Dispatcher.dispatcher;
-  e_pool : Pool.t;
+  e_buffer_segments : int; (* receive-buffer budget of passive opens *)
   mutable e_app : Session.t -> Session.delivery -> unit;
 }
 
@@ -273,12 +272,12 @@ let add_host ?host ?(buffer_segments = 4096) t ~addr =
   let entity =
     {
       e_disp = disp;
-      e_pool = Pool.create ~buffers:buffer_segments ~size:2048;
+      e_buffer_segments = buffer_segments;
       e_app = (fun _ _ -> ());
     }
   in
   (* The passive-open policy: clamp the proposal's receive buffer to the
-     resources this host can still commit — the pool minus what every live
+     resources this host can still commit — its budget minus what every live
      session already holds — accept, and let the initiator adopt the
      counter-proposal from the Syn_ack blob.  Closed sessions disappear
      from the dispatcher, so their buffers return automatically
@@ -303,7 +302,7 @@ let add_host ?host ?(buffer_segments = 4096) t ~addr =
           | None -> degrade_scs default_accept_scs)
       in
       let committed = Session.Dispatcher.committed_recv_segments disp in
-      let available = max 4 (Pool.capacity entity.e_pool - committed) in
+      let available = max 4 (entity.e_buffer_segments - committed) in
       let final =
         if proposed.Scs.recv_buffer_segments <= available then proposed
         else { proposed with Scs.recv_buffer_segments = available }
@@ -325,7 +324,6 @@ let entity t addr =
   | None -> raise Not_found
 
 let dispatcher e = e.e_disp
-let pool e = e.e_pool
 let set_app_handler e f = e.e_app <- f
 
 (* ------------------------------------------------------------------ *)

@@ -12,9 +12,9 @@
     - {b Stage III} — TKO synthesis: template-cache lookup, then
       {!Session.connect} instantiates the executable configuration.
 
-    Each host runs a MANTTS {e entity} owning its buffer pool and the
-    passive-open policy (negotiation clamps a proposal's receive buffer to
-    local resources and counter-proposes).  During data transfer a
+    Each host runs a MANTTS {e entity} owning its receive-buffer budget
+    and the passive-open policy (negotiation clamps a proposal's receive
+    buffer to local resources and counter-proposes).  During data transfer a
     per-session monitor samples the network and the session's own metrics
     and evaluates TSA rules — the application's ⟨condition, action⟩ pairs
     plus built-in class policies (§3(C)'s go-back-n ↔ selective-repeat
@@ -22,7 +22,6 @@
     reconfigurations through segue. *)
 
 open Adaptive_sim
-open Adaptive_buf
 open Adaptive_net
 open Adaptive_mech
 
@@ -41,18 +40,17 @@ val unites : t -> Unites.t
 
 val add_host :
   ?host:Host.t -> ?buffer_segments:int -> t -> addr:Network.addr -> entity
-(** Register a host: creates its dispatcher, buffer pool
-    ([buffer_segments], default 4096) and negotiation acceptor.  [host]
-    defaults to a host CPU with 1992-class costs. *)
+(** Register a host: creates its dispatcher and negotiation acceptor.
+    [buffer_segments] (default 4096) is the host's receive-buffer budget:
+    a passive open is clamped to it, less the segments live sessions
+    already hold, and never below 4 segments.  [host] defaults to a host
+    CPU with 1992-class costs. *)
 
 val entity : t -> Network.addr -> entity
 (** The entity at an address.  Raises [Not_found] if absent. *)
 
 val dispatcher : entity -> Session.Dispatcher.dispatcher
 (** The host's PDU demultiplexer. *)
-
-val pool : entity -> Pool.t
-(** The host's buffer pool. *)
 
 val set_app_handler : entity -> (Session.t -> Session.delivery -> unit) -> unit
 (** Application callback for passively accepted sessions at this host. *)

@@ -57,7 +57,8 @@ val quantile : t -> float -> float
     the estimate is exact for the first five observations, a marker read
     at the tracked quantiles (0.5, 0.95, 0.99) afterwards, and a
     monotone piecewise-linear interpolation between markers and the
-    exact extrema elsewhere. *)
+    exact extrema elsewhere.  Reading a reservoir copies and sorts its
+    samples on every call; use {!summarize} to read several quantiles. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh accumulator (with [a]'s estimator) summarizing
@@ -83,7 +84,10 @@ type summary = {
 
 val summarize : t -> summary
 (** Snapshot the accumulator.  An empty accumulator summarizes to the
-    all-zero summary ([n = 0]), not to NaNs. *)
+    all-zero summary ([n = 0]), not to NaNs.  Agrees bit for bit with
+    {!quantile} at 0.5, 0.95 and 0.99, but sorts the retained samples
+    once, in one copy, for all three: a full reservoir costs that copy
+    plus a constant, and a {!P2} summary only the constant. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** One-line printer for a summary. *)

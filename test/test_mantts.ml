@@ -164,6 +164,40 @@ let test_negotiation_clamps_to_pool () =
   Mantts.close_session stack.Adaptive.mantts s;
   Adaptive.run stack
 
+(* Pins the passive-open clamp exactly: the responder's budget is its
+   [buffer_segments], less what live passive sessions already hold, and
+   never below the floor of 4 segments. *)
+let test_passive_open_clamp_pinned () =
+  let stack = Adaptive.create_stack ~seed:9 () in
+  let a = Adaptive.add_host stack "a" in
+  let b = Adaptive.add_host ~buffer_segments:16 stack "b" in
+  Adaptive.connect_hosts stack a b (Profiles.bisdn_path ());
+  let committed () =
+    Session.Dispatcher.committed_recv_segments
+      (Mantts.dispatcher (Mantts.entity stack.Adaptive.mantts b))
+  in
+  let open_64 () =
+    let s =
+      Mantts.open_session stack.Adaptive.mantts ~src:a ~acd:(acd_for Qos.default b)
+        ~scs_transform:(fun scs -> { scs with Scs.recv_buffer_segments = 64 })
+        ()
+    in
+    Adaptive.run stack ~until:(Time.add (Adaptive.now stack) (Time.sec 2.0));
+    check_bool "established" true (Session.state s = Session.Established);
+    s
+  in
+  let s1 = open_64 () in
+  check_int "64 accepted at the 16-segment budget" 16
+    (Session.scs s1).Scs.recv_buffer_segments;
+  check_int "16 committed" 16 (committed ());
+  let s2 = open_64 () in
+  check_int "exhausted budget clamps to the floor" 4
+    (Session.scs s2).Scs.recv_buffer_segments;
+  check_int "floor committed on top" 20 (committed ());
+  Mantts.close_session stack.Adaptive.mantts s1;
+  Mantts.close_session stack.Adaptive.mantts s2;
+  Adaptive.run stack
+
 let test_pool_commitment_and_release () =
   (* A 100-segment pool: the first big session commits most of it, the
      second gets the remainder; closing the first returns its buffers
@@ -501,6 +535,8 @@ let suite =
         Alcotest.test_case "buffer clamped to pool" `Quick test_negotiation_clamps_to_pool;
         Alcotest.test_case "pool commitment and release" `Quick
           test_pool_commitment_and_release;
+        Alcotest.test_case "passive-open clamp pinned" `Quick
+          test_passive_open_clamp_pinned;
       ] );
     ( "mantts.adaptation",
       [

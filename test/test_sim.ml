@@ -304,6 +304,90 @@ let prop_stats_variance_nonneg =
       List.iter (Stats.add s) xs;
       Stats.variance s >= -1e-9)
 
+(* Differential check against [Stats_reference], the pre-sort-once
+   accumulator: every summary and quantile must match bit for bit, so a
+   change to the sort or the P² read cannot shift a rendered report. *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_summary (a : Stats.summary) (b : Stats.summary) =
+  a.n = b.n && same_float a.mean b.mean && same_float a.stddev b.stddev
+  && same_float a.min b.min && same_float a.max b.max && same_float a.p50 b.p50
+  && same_float a.p95 b.p95 && same_float a.p99 b.p99
+
+(* Few distinct magnitudes so duplicates are common, with both zeros. *)
+let gen_sample =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map float_of_int (int_range (-8) 8));
+        (4, float_range (-1000.0) 1000.0);
+        (1, return 0.0);
+        (1, return (-0.0));
+      ])
+
+(* n straddles the reservoir capacity (8-64) and P²'s five-sample head. *)
+let gen_stream =
+  QCheck2.Gen.(
+    list_size (frequency [ (1, int_range 0 6); (3, int_range 0 160) ]) gen_sample)
+
+let prop_stats_matches_reference =
+  QCheck2.Test.make ~name:"summarize/quantile = reference bit for bit" ~count:500
+    QCheck2.Gen.(
+      quad bool (int_range 8 64) (pair gen_stream (opt gen_stream))
+        (list_size (int_range 1 4) (float_range (-0.2) 1.2)))
+    (fun (p2, reservoir, (xs, ys), qs) ->
+      let estimator = if p2 then Stats.P2 else Stats.Reservoir in
+      let build ys =
+        let t = Stats.create ~estimator ~reservoir ()
+        and r = Stats_reference.create ~estimator ~reservoir () in
+        List.iter (fun y -> Stats.add t y; Stats_reference.add r y) ys;
+        (t, r)
+      in
+      let t, r = build xs in
+      let t, r =
+        match ys with
+        | None -> (t, r)
+        | Some ys ->
+          let t', r' = build ys in
+          (Stats.merge t t', Stats_reference.merge r r')
+      in
+      same_summary (Stats.summarize t) (Stats_reference.summarize r)
+      && List.for_all
+           (fun q -> same_float (Stats.quantile t q) (Stats_reference.quantile r q))
+           (0.0 :: 0.5 :: 0.95 :: 0.99 :: 1.0 :: qs))
+
+(* Words allocated by [f ()], minor and major heaps together.  Minor
+   words come from [Gc.minor_words], which counts the current minor
+   heap exactly; large arrays go straight to the major heap. *)
+let words_allocated f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Summaries end every UNITES report, so they must not box: a full
+   8,192-sample reservoir costs its one sorted copy plus a constant, and
+   a P² summary only the constant. *)
+let test_stats_summarize_alloc () =
+  let res = Stats.create () and p2 = Stats.create ~estimator:Stats.P2 () in
+  for i = 1 to 10_000 do
+    let x = float_of_int ((i * 7919) mod 1000) in
+    Stats.add res x;
+    Stats.add p2 x
+  done;
+  let over label budget t =
+    let words = words_allocated (fun () -> Stats.summarize t) in
+    if words > budget then
+      [ Printf.sprintf "%s summarize allocates %.0f words (budget %.0f)" label words budget ]
+    else []
+  in
+  match over "reservoir" (8192.0 +. 64.0) res @ over "P2" 64.0 p2 with
+  | [] -> ()
+  | failures -> Alcotest.fail (String.concat "; " failures)
+
 (* ---------------------------------------------------------------- Engine *)
 
 let test_engine_ordering () =
@@ -657,8 +741,14 @@ let suite =
         Alcotest.test_case "merge with empty" `Quick test_stats_merge_empty;
         Alcotest.test_case "clear" `Quick test_stats_clear;
         Alcotest.test_case "bounded reservoir" `Quick test_stats_reservoir_bounded;
+        Alcotest.test_case "summarize allocation" `Quick test_stats_summarize_alloc;
       ]
-      @ qsuite [ prop_stats_mean_bounded; prop_stats_variance_nonneg ] );
+      @ qsuite
+          [
+            prop_stats_mean_bounded;
+            prop_stats_variance_nonneg;
+            prop_stats_matches_reference;
+          ] );
     ( "sim.engine",
       [
         Alcotest.test_case "time ordering" `Quick test_engine_ordering;

@@ -456,7 +456,8 @@ let run_wire sessions churn seed =
   | None -> ()
   | Some w ->
     Format.printf
-      "wire path: %d encode(s), %d decode(s), %d reject(s), %d fused        checksum(s), pool reuse %.3f@."
+      "wire path: %d encode(s), %d decode(s), %d reject(s), %d fused \
+       checksum(s), pool reuse %.3f@."
       w.Session.Wire.encodes w.Session.Wire.decodes w.Session.Wire.rejects
       w.Session.Wire.fused_sums w.Session.Wire.pool_reuse_rate);
   if Int64.equal value_o.Swarm.digest wire_o.Swarm.digest then begin
@@ -655,7 +656,8 @@ let wire_flag =
     & flag
     & info [ "wire" ]
         ~doc:
-          "Run in wire-true mode: every PDU crosses the network as real            bytes through the fused zero-copy codec path.")
+          "Run in wire-true mode: every PDU crosses the network as real \
+           bytes through the fused zero-copy codec path.")
 
 let steer_flag =
   Arg.(
@@ -767,7 +769,9 @@ let wire_cmd =
   Cmd.v
     (Cmd.info "wire"
        ~doc:
-         "Run the same seeded swarm in value mode and wire-true mode and           check that the trace digests match — the zero-copy wire path           must replay the simulation byte-for-byte")
+         "Run the same seeded swarm in value mode and wire-true mode and \
+          check that the trace digests match — the zero-copy wire path \
+          must replay the simulation byte-for-byte")
     Term.(ret (const run_wire $ sessions_arg $ churn_arg $ seed_arg))
 
 let main =

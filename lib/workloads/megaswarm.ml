@@ -89,28 +89,13 @@ type wan_msg = {
 
 type partition = {
   p_index : int;
-  p_stack : Adaptive.stack;
-  p_client : Network.addr;
-  p_server : Network.addr;
-  p_trace : Trace.t;
+  p_churn : Churn.t;
   p_steer : Steer.t option;  (* partition-local steering engine: state
                                 never crosses the barrier, so the shard
                                 digest-parity witness is unaffected *)
   mutable p_outbox : (Time.t * int * wan_msg) list;  (* newest first *)
-  mutable p_offered : int;
-  mutable p_admitted : int;
-  mutable p_refused : int;
   mutable p_cross : int;
-  mutable p_delivered_msgs : int;
-  mutable p_delivered_bytes : int;
-  mutable p_peak_live : int;
 }
-
-let fast_host engine =
-  Host.create ~per_packet:(Time.us 2) ~per_byte_copy:(Time.ns 1) ~copies:1 engine
-
-let short_duration = Time.ms 600
-let long_duration = Time.minutes 2
 
 (* Virtual address of (partition, role): role 0 = client, 1 = server. *)
 let virtual_addr ~partition ~role = wan_base + (partition * 2) + role
@@ -118,75 +103,46 @@ let virtual_addr ~partition ~role = wan_base + (partition * 2) + role
 let cross_scs = { Scs.default with Scs.connection = Params.Implicit }
 
 let build_partition cfg ~index ~seed =
-  let stack =
-    Adaptive.create_stack ~seed ~metric_reservoir:64
-      ~metric_estimator:Stats.P2 ()
+  let churn =
+    Churn.create ~seed ~estimator:Stats.P2 ~prefix:"ms"
+      ~lan:
+        (Profiles.custom ~name:"ms-lan" ~bandwidth_bps:1e9
+           ~propagation:(Time.us 50) ~queue_pkts:4096 ())
+      ~host_speed:1.0
   in
-  let engine = stack.Adaptive.engine in
+  let stack = churn.Churn.stack in
   (* Stripe connection ids by partition so a cross-partition session can
      never collide with a local one in the remote connection table — and
      so the id space is identical however many shards execute. *)
   Network.set_conn_stripe stack.Adaptive.net ~stride:cfg.partitions ~offset:index;
-  let mantts = Adaptive.mantts stack in
-  let client = Adaptive.add_host ~host_cpu:(fast_host engine) stack "ms-client" in
-  let server = Adaptive.add_host ~host_cpu:(fast_host engine) stack "ms-server" in
-  Adaptive.connect_hosts stack client server
-    [ Profiles.custom ~name:"ms-lan" ~bandwidth_bps:1e9 ~propagation:(Time.us 50)
-        ~queue_pkts:4096 () ];
-  let trace = Trace.create ~log_capacity:256 () in
-  Unites.attach_trace stack.Adaptive.unites trace;
   (* GIGASWARM memory bound: cap the per-session metric population so the
      UNITES tables — and the rendered report — stay O(cap) however many
      sessions churn through.  Overflowed sessions fold into one shared
      bucket; totals are preserved.  The trace digest never sees UNITES
      routing, so the cap cannot perturb the parity oracle. *)
-  (match cfg.session_cap with
-  | Some cap -> Unites.set_session_cap stack.Adaptive.unites cap
-  | None -> ());
-  let p =
-    {
-      p_index = index;
-      p_stack = stack;
-      p_client = client;
-      p_server = server;
-      p_trace = trace;
-      p_steer = Option.map (fun policy -> Steer.create ~policy mantts) cfg.steer;
-      p_outbox = [];
-      p_offered = 0;
-      p_admitted = 0;
-      p_refused = 0;
-      p_cross = 0;
-      p_delivered_msgs = 0;
-      p_delivered_bytes = 0;
-      p_peak_live = 0;
-    }
-  in
-  Mantts.set_app_handler (Mantts.entity mantts server) (fun session d ->
-      p.p_delivered_msgs <- p.p_delivered_msgs + 1;
-      p.p_delivered_bytes <- p.p_delivered_bytes + d.Session.bytes;
-      (* Same bytes as [Printf.sprintf "%d:%d"] without the format
-         interpreter: this string is folded into the trace digest per
-         delivered message. *)
-      Trace.event trace ~at:d.Session.delivered_at ~category:"deliver"
-        ~detail:
-          (string_of_int (Session.id session) ^ ":" ^ string_of_int d.Session.bytes));
-  p
+  Option.iter (Unites.set_session_cap stack.Adaptive.unites) cfg.session_cap;
+  {
+    p_index = index;
+    p_churn = churn;
+    p_steer =
+      Option.map (fun policy -> Steer.create ~policy (Adaptive.mantts stack)) cfg.steer;
+    p_outbox = [];
+    p_cross = 0;
+  }
 
 (* Install partition [p]'s remote hook: map the unrouted virtual
    destination to (partition, real address), the real source to its
    virtual name, stamp the WAN arrival, and queue for the next barrier. *)
 let install_wan cfg parts p =
-  let net = p.p_stack.Adaptive.net in
-  let engine = p.p_stack.Adaptive.engine in
+  let net = p.p_churn.Churn.stack.Adaptive.net in
+  let engine = p.p_churn.Churn.stack.Adaptive.engine in
   Network.set_remote net (fun ~src ~dst ~bytes pdu ->
       if dst >= wan_base && dst < wan_base + (cfg.partitions * 2) then begin
         let target = (dst - wan_base) / 2 in
         let role = (dst - wan_base) mod 2 in
-        let dest_part = parts.(target) in
-        let real_dst =
-          if role = 1 then dest_part.p_server else dest_part.p_client
-        in
-        let src_role = if src = p.p_server then 1 else 0 in
+        let dest = parts.(target).p_churn in
+        let real_dst = if role = 1 then dest.Churn.server else dest.Churn.client in
+        let src_role = if src = p.p_churn.Churn.server then 1 else 0 in
         let now = Engine.now engine in
         p.p_outbox <-
           ( Time.add now (pair_latency cfg ~src:p.p_index ~dst:target),
@@ -201,117 +157,55 @@ let install_wan cfg parts p =
           :: p.p_outbox
       end)
 
-let schedule_opens cfg p ~local_slots =
-  let stack = p.p_stack in
-  let engine = stack.Adaptive.engine in
-  let mantts = Adaptive.mantts stack in
-  let client_disp = Mantts.dispatcher (Mantts.entity mantts p.p_client) in
-  let base_rng =
-    Rng.split_ix (Rng.create (cfg.seed lxor 0x4D534D53 (* "MSMS" *))) p.p_index
-  in
-  let apps = Array.of_list Workloads.all in
-  let napps = Array.length apps in
-  (* One ACD per (application, monitored) shape, shared across every open:
-     descriptors are immutable and MANTTS only reads them, and handing the
-     same physical value back makes the MANTTS synthesis memo's structural
-     key comparison short-circuit on pointer equality. *)
-  let acd_cache = Array.make (2 * napps) None in
-  let acd_for slot =
-    let app_ix = slot mod napps in
-    let monitored =
-      cfg.monitored_share > 0 && slot mod cfg.monitored_share = 0
+(* Every [cross_share]-th local slot also opens, on its first round, an
+   implicit-connection session to the next partition's server over the
+   WAN (ring order), bypassing MANTTS, and closes it 600 ms later (the
+   short declared duration). *)
+let open_cross cfg p slot round =
+  if cfg.cross_share > 0 && slot mod cfg.cross_share = 0 && round = 0 then begin
+    let c = p.p_churn in
+    let engine = c.Churn.stack.Adaptive.engine in
+    let client_disp =
+      Mantts.dispatcher (Mantts.entity (Adaptive.mantts c.Churn.stack) c.Churn.client)
     in
-    let key = (2 * app_ix) + Bool.to_int monitored in
-    match acd_cache.(key) with
-    | Some acd -> acd
-    | None ->
-      let qos =
-        {
-          (Workloads.qos apps.(app_ix)) with
-          Qos.duration = Some (if monitored then long_duration else short_duration);
-        }
-      in
-      let acd =
-        Acd.make
-          ~tmc:{ Acd.collect = [ Unites.Setup_latency ]; sample_every = Time.sec 1.0 }
-          ~participants:[ p.p_server ] ~qos ()
-      in
-      acd_cache.(key) <- Some acd;
-      acd
-  in
-  (* Global stagger: partition [p] owns global slots p, p+P, p+2P, … so
-     offered load is phase-interleaved across partitions exactly as one
-     flat swarm would see it.  The +1 ns keeps the very first injection
-     strictly inside the first conservative window. *)
-  let open_at slot =
-    1 + (((slot * cfg.partitions) + p.p_index) * cfg.open_window / cfg.sessions)
-  in
-  let open_cross slot round =
     p.p_cross <- p.p_cross + 1;
-    let peer_part = (p.p_index + 1) mod cfg.partitions in
-    let peer = virtual_addr ~partition:peer_part ~role:1 in
+    let peer =
+      virtual_addr ~partition:((p.p_index + 1) mod cfg.partitions) ~role:1
+    in
     let name = Printf.sprintf "xms-%d-%d-%d" p.p_index slot round in
     let session =
       Session.connect ~name client_disp ~peers:[ peer ] ~scs:cross_scs ()
     in
-    Trace.event p.p_trace ~at:(Engine.now engine) ~category:"xopen"
+    Trace.event c.Churn.trace ~at:(Engine.now engine) ~category:"xopen"
       ~detail:(string_of_int (Session.id session));
     Session.send session ~bytes:(max 64 (cfg.payload_bytes / 2)) ();
     Engine.schedule_anon engine
-      ~at:(Time.add (Engine.now engine) short_duration)
+      ~at:(Time.add (Engine.now engine) (Time.ms 600))
       (fun () ->
-        Trace.event p.p_trace ~at:(Engine.now engine) ~category:"xclose"
+        Trace.event c.Churn.trace ~at:(Engine.now engine) ~category:"xclose"
           ~detail:(string_of_int (Session.id session));
         Session.close session)
+  end
+
+let schedule_opens cfg p =
+  let local_slots =
+    (cfg.sessions / cfg.partitions)
+    + if p.p_index < cfg.sessions mod cfg.partitions then 1 else 0
   in
-  let rec attempt slot round ~at =
-    Engine.schedule_anon engine ~at (fun () -> open_now slot round)
-  and open_now slot round =
-    p.p_offered <- p.p_offered + 1;
-    let rng = Rng.split_ix base_rng ((slot * 131) + round) in
-    let name =
-      "ms-" ^ string_of_int p.p_index ^ "-" ^ string_of_int slot ^ "-"
-      ^ string_of_int round
-    in
-    let acd = acd_for slot in
-    let lifetime = Time.ms (300 + Rng.int rng 500) in
-    (match Mantts.try_open_session ~name mantts ~src:p.p_client ~acd () with
-    | Error _ ->
-      p.p_refused <- p.p_refused + 1;
-      Trace.event p.p_trace ~at:(Engine.now engine) ~category:"refuse"
-        ~detail:(string_of_int slot);
-      if round < cfg.churn_rounds then
-        attempt slot (round + 1) ~at:(Time.add (Engine.now engine) (Time.ms 200))
-    | Ok (session, _decision) ->
-      p.p_admitted <- p.p_admitted + 1;
-      Trace.event p.p_trace ~at:(Engine.now engine) ~category:"open"
-        ~detail:(string_of_int (Session.id session));
-      Option.iter
-        (fun st ->
-          Steer.watch st session
-            ~loss_tolerant:(acd.Acd.qos.Qos.loss_tolerance > 0.0))
-        p.p_steer;
-      let live = Session.Dispatcher.session_count client_disp in
-      if live > p.p_peak_live then p.p_peak_live <- live;
-      let bytes =
-        max 64 ((cfg.payload_bytes / 2) + Rng.int rng cfg.payload_bytes)
-      in
-      Session.send session ~bytes ();
-      Engine.schedule_anon engine
-        ~at:(Time.add (Engine.now engine) lifetime)
-        (fun () ->
-          Trace.event p.p_trace ~at:(Engine.now engine) ~category:"close"
-            ~detail:(string_of_int (Session.id session));
-          Mantts.close_session mantts session;
-          if round < cfg.churn_rounds then
-            attempt slot (round + 1)
-              ~at:(Time.add (Engine.now engine) (Time.ms 100))));
-    if cfg.cross_share > 0 && slot mod cfg.cross_share = 0 && round = 0 then
-      open_cross slot round
-  in
-  for slot = 0 to local_slots - 1 do
-    attempt slot 0 ~at:(open_at slot)
-  done
+  let prefix = "ms-" ^ string_of_int p.p_index ^ "-" in
+  Churn.schedule_opens p.p_churn
+    ~rng:(Rng.split_ix (Rng.create (cfg.seed lxor 0x4D534D53 (* "MSMS" *))) p.p_index)
+    ~slots:local_slots ~churn_rounds:cfg.churn_rounds
+    ~payload_bytes:cfg.payload_bytes ~monitored_share:cfg.monitored_share
+    ~name:(fun slot round ->
+      prefix ^ string_of_int slot ^ "-" ^ string_of_int round)
+      (* Global stagger: partition [p] owns global slots p, p+P, p+2P, …
+         so offered load is phase-interleaved across partitions exactly
+         as one flat swarm would see it.  The +1 ns keeps the very first
+         injection strictly inside the first conservative window. *)
+    ~open_at:(fun slot ->
+      1 + (((slot * cfg.partitions) + p.p_index) * cfg.open_window / cfg.sessions))
+    ?steer:p.p_steer ~after_open:(open_cross cfg p) ()
 
 let run ?clock cfg =
   if cfg.sessions <= 0 then invalid_arg "Megaswarm.run: sessions must be positive";
@@ -332,26 +226,17 @@ let run ?clock cfg =
   in
   Array.iter (install_wan cfg parts) parts;
   let w_build = Gc.minor_words () in
-  Array.iter
-    (fun p ->
-      let local_slots =
-        (cfg.sessions / cfg.partitions)
-        + (if p.p_index < cfg.sessions mod cfg.partitions then 1 else 0)
-      in
-      schedule_opens cfg p ~local_slots)
-    parts;
+  Array.iter (schedule_opens cfg) parts;
   let w_sched = Gc.minor_words () in
-  let horizon =
-    Time.add cfg.open_window
-      (Time.sec (3.0 *. float_of_int (cfg.churn_rounds + 1)))
-  in
+  let churns = Array.map (fun p -> p.p_churn) parts in
+  let stack i = churns.(i).Churn.stack in
   let shard =
     Shard.create
       ~pair_lookahead:(fun ~src ~dst -> pair_latency cfg ~src ~dst)
-      ~next_deadline:(fun i -> Engine.next_deadline parts.(i).p_stack.Adaptive.engine)
+      ~next_deadline:(fun i -> Engine.next_deadline (stack i).Adaptive.engine)
       ?clock ~lookahead:cfg.wan_latency ~partitions:cfg.partitions
       ~run_to:(fun i until ->
-        Engine.run ~until parts.(i).p_stack.Adaptive.engine)
+        Engine.run ~until (stack i).Adaptive.engine)
       ~drain:(fun i ->
         let msgs = List.rev parts.(i).p_outbox in
         parts.(i).p_outbox <- [];
@@ -360,47 +245,43 @@ let run ?clock cfg =
             { Shard.out_at = at; out_dst = dst; out_payload = m })
           msgs)
       ~inject:(fun i ~at ~src:_ m ->
-        let net = parts.(i).p_stack.Adaptive.net in
-        Engine.schedule_anon parts.(i).p_stack.Adaptive.engine ~at (fun () ->
+        let net = (stack i).Adaptive.net in
+        Engine.schedule_anon (stack i).Adaptive.engine ~at (fun () ->
             Network.deliver_remote net ~src:m.w_src ~dst:m.w_dst
               ~bytes:m.w_bytes ~sent_at:m.w_sent m.w_pdu))
       ()
   in
-  let wan_exchanged = Shard.run shard ~shards:cfg.shards ~until:horizon in
+  let wan_exchanged =
+    Shard.run shard ~shards:cfg.shards
+      ~until:(Churn.horizon ~open_window:cfg.open_window ~churn_rounds:cfg.churn_rounds)
+  in
   let sync = Shard.last_stats shard in
   let w_sim = Gc.minor_words () in
-  let digests =
-    Array.to_list (Array.map (fun p -> Trace.hash p.p_trace) parts)
+  let digests = Array.to_list (Array.map (fun c -> Trace.hash c.Churn.trace) churns) in
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 churns in
+  let fold f init = Array.fold_left f init churns in
+  let probes_mean c =
+    Unites.stats c.Churn.stack.Adaptive.unites ~session:Unites.swarm_session
+      Unites.Demux_probes
+    |> Option.fold ~none:0.0 ~some:(fun s -> s.Stats.mean)
   in
-  let probes_mean p =
-    match
-      Unites.stats p.p_stack.Adaptive.unites ~session:Unites.swarm_session
-        Unites.Demux_probes
-    with
-    | Some s -> s.Stats.mean
-    | None -> 0.0
-  in
-  let sum f = Array.fold_left (fun acc p -> acc + f p) 0 parts in
   (* Tick-cost telemetry across every partition: monitor-tick working
      set and coalesced time-wait sweeps (client + server dispatchers). *)
-  let tick_stats p = Mantts.tick_stats (Adaptive.mantts p.p_stack) in
-  let tw_stats p =
-    let mantts = Adaptive.mantts p.p_stack in
-    List.fold_left
-      (fun (s, e) addr ->
-        let disp = Mantts.dispatcher (Mantts.entity mantts addr) in
-        let s', e' = Session.Dispatcher.tw_sweep_stats disp in
-        (s + s', e + e'))
-      (0, 0)
-      [ p.p_client; p.p_server ]
+  let tick_stats c = Mantts.tick_stats (Adaptive.mantts c.Churn.stack) in
+  let tw_stats c =
+    let sweeps addr =
+      Session.Dispatcher.tw_sweep_stats
+        (Mantts.dispatcher (Mantts.entity (Adaptive.mantts c.Churn.stack) addr))
+    in
+    let (s, e), (s', e') = (sweeps c.Churn.client, sweeps c.Churn.server) in
+    (s + s', e + e')
   in
   let unites_reports =
     Array.to_list
-      (Array.map
-         (fun p ->
-           Format.asprintf "partition %d@.%a" p.p_index Unites.report
-             p.p_stack.Adaptive.unites)
-         parts)
+      (Array.mapi
+         (fun i c ->
+           Format.asprintf "partition %d@.%a" i Unites.report c.Churn.stack.Adaptive.unites)
+         churns)
   in
   let stage_minor_words =
     [
@@ -411,32 +292,28 @@ let run ?clock cfg =
     ]
   in
   {
-    offered = sum (fun p -> p.p_offered);
-    admitted = sum (fun p -> p.p_admitted);
-    refused = sum (fun p -> p.p_refused);
-    cross_opened = sum (fun p -> p.p_cross);
-    delivered_msgs = sum (fun p -> p.p_delivered_msgs);
-    delivered_bytes = sum (fun p -> p.p_delivered_bytes);
+    offered = sum (fun c -> c.Churn.offered);
+    admitted = sum (fun c -> c.Churn.admitted);
+    refused = sum (fun c -> c.Churn.refused);
+    cross_opened = Array.fold_left (fun acc p -> acc + p.p_cross) 0 parts;
+    delivered_msgs = sum (fun c -> c.Churn.delivered_msgs);
+    delivered_bytes = sum (fun c -> c.Churn.delivered_bytes);
     wan_exchanged;
     steer_swaps =
-      sum (fun p ->
-          match p.p_steer with Some st -> Steer.swap_count st | None -> 0);
-    peak_live = Array.fold_left (fun acc p -> max acc p.p_peak_live) 0 parts;
-    events_fired =
-      sum (fun p ->
-          (Engine.counters p.p_stack.Adaptive.engine).Engine.events_fired);
-    sim_time =
       Array.fold_left
-        (fun acc p -> Time.max acc (Adaptive.now p.p_stack))
-        Time.zero parts;
+        (fun acc p -> acc + Option.fold ~none:0 ~some:Steer.swap_count p.p_steer)
+        0 parts;
+    peak_live = fold (fun acc c -> max acc c.Churn.peak_live) 0;
+    events_fired =
+      sum (fun c -> (Engine.counters c.Churn.stack.Adaptive.engine).Engine.events_fired);
+    sim_time = fold (fun acc c -> Time.max acc (Adaptive.now c.Churn.stack)) Time.zero;
     digest = Fleet.combine_hashes digests;
     partition_digests = digests;
-    demux_probes_mean_max =
-      Array.fold_left (fun acc p -> Float.max acc (probes_mean p)) 0.0 parts;
-    monitor_ticks = sum (fun p -> fst (tick_stats p));
-    monitor_walked = sum (fun p -> snd (tick_stats p));
-    tw_sweeps = sum (fun p -> fst (tw_stats p));
-    tw_expired = sum (fun p -> snd (tw_stats p));
+    demux_probes_mean_max = fold (fun acc c -> Float.max acc (probes_mean c)) 0.0;
+    monitor_ticks = sum (fun c -> fst (tick_stats c));
+    monitor_walked = sum (fun c -> snd (tick_stats c));
+    tw_sweeps = sum (fun c -> fst (tw_stats c));
+    tw_expired = sum (fun c -> snd (tw_stats c));
     sync_windows = sync.Shard.windows;
     sync_skipped = sync.Shard.skipped_spans;
     shard_wall_s = Array.to_list sync.Shard.shard_wall_s;

@@ -18,9 +18,9 @@
     exchange path carries real protocol traffic: connection setup, data,
     acks and release all cross the partition boundary.
 
-    Per-partition UNITES repositories run the {!Adaptive_sim.Stats.P2}
-    streaming quantile estimator, so metric memory stays flat however
-    many sessions churn through a partition. *)
+    Each partition's host pair and slot lifecycle are {!Churn}'s, shared
+    with {!Swarm}; its UNITES repository runs the P² quantile estimator,
+    so metric memory stays flat however many sessions churn through. *)
 
 open Adaptive_sim
 open Adaptive_core

@@ -1,6 +1,5 @@
 open Adaptive_sim
 open Adaptive_net
-open Adaptive_mech
 open Adaptive_core
 open Adaptive_chaos
 
@@ -13,7 +12,6 @@ type config = {
   admission : Mantts.admission_policy option;
   monitored_share : int;
   wire : bool;
-  estimator : Stats.estimator;
   steer : Steer.policy option;
   chaos : Fault.schedule option;
   check_invariants : bool;
@@ -34,9 +32,6 @@ let default_config ~sessions ~seed =
     admission = None;
     monitored_share = 10;
     wire = false;
-    (* Reservoir is the golden default; the goldens pin its quantiles.
-       Megaswarm-scale runs switch to [Stats.P2] for flat metric memory. *)
-    estimator = Stats.Reservoir;
     steer = None;
     chaos = None;
     check_invariants = false;
@@ -72,32 +67,18 @@ type outcome = {
   unites : Unites.t;
 }
 
-(* A modern host CPU: the 1992 defaults (100 us/packet) would serialize
-   10k sessions' traffic into minutes of simulated backlog and measure the
-   host model, not the dispatcher.  [speed] scales it further: the two
-   endpoints stand for a whole population of hosts, so benches that scale
-   the link with the session count scale the CPU the same way — at
-   2 us/packet a fixed host saturates near 140k pkts/s and quietly
-   becomes the experiment.  The speed knob lives in [Host] itself so it
-   also divides the per-byte checksum work the session layer charges —
-   pre-scaling only the constructor costs here would leave that charge
-   as an unscaled floor (~18 us per full-size checksummed frame, a
-   ~55k pkts/s ceiling no matter how fast the host claims to be). *)
-let fast_host ~speed engine =
-  Host.create ~per_packet:(Time.us 2) ~per_byte_copy:(Time.ns 1) ~copies:1 ~speed
-    engine
-
-(* Short-declared sessions (the bulk) skip the MANTTS policy monitor;
-   every [monitored_share]-th is long-declared and keeps one. *)
-let short_duration = Time.ms 600
-let long_duration = Time.minutes 2
-
 let run cfg =
   if cfg.sessions <= 0 then invalid_arg "Swarm.run: sessions must be positive";
-  let stack =
-    Adaptive.create_stack ~seed:cfg.seed ~metric_reservoir:64
-      ~metric_estimator:cfg.estimator ()
+  let lan =
+    Profiles.custom ~name:"swarm-lan" ~bandwidth_bps:cfg.link_bps
+      ~propagation:(Time.us 50) ~queue_pkts:cfg.link_queue_pkts
+      ~mtu:cfg.link_mtu ()
   in
+  let part =
+    Churn.create ~seed:cfg.seed ~estimator:Stats.Reservoir ~prefix:"swarm" ~lan
+      ~host_speed:cfg.host_speed
+  in
+  let stack = part.Churn.stack in
   let engine = stack.Adaptive.engine in
   let unites = stack.Adaptive.unites in
   let mantts = Adaptive.mantts stack in
@@ -105,20 +86,8 @@ let run cfg =
     if cfg.wire then Some (Session.Wire.install stack.Adaptive.net) else None
   in
   Mantts.set_admission mantts cfg.admission;
-  let client_cpu = fast_host ~speed:cfg.host_speed engine
-  and server_cpu = fast_host ~speed:cfg.host_speed engine in
-  let client = Adaptive.add_host ~host_cpu:client_cpu stack "swarm-client" in
-  let server = Adaptive.add_host ~host_cpu:server_cpu stack "swarm-server" in
-  let lan =
-    Profiles.custom ~name:"swarm-lan" ~bandwidth_bps:cfg.link_bps
-      ~propagation:(Time.us 50) ~queue_pkts:cfg.link_queue_pkts
-      ~mtu:cfg.link_mtu ()
-  in
-  Adaptive.connect_hosts stack client server [ lan ];
-  let trace = Trace.create ~log_capacity:256 () in
-  Unites.attach_trace unites trace;
-  let client_disp = Mantts.dispatcher (Mantts.entity mantts client) in
-  let server_disp = Mantts.dispatcher (Mantts.entity mantts server) in
+  let client_disp = Mantts.dispatcher (Mantts.entity mantts part.Churn.client) in
+  let server_disp = Mantts.dispatcher (Mantts.entity mantts part.Churn.server) in
   let steer = Option.map (fun policy -> Steer.create ~policy mantts) cfg.steer in
   let checker =
     if cfg.check_invariants then
@@ -130,9 +99,9 @@ let run cfg =
   let injector =
     Option.map
       (fun schedule ->
-        Fault.install ~engine ~trace ~unites
+        Fault.install ~engine ~trace:part.Churn.trace ~unites
           { Fault.links = [ lan ]; tail_links = [];
-            hosts = [ client_cpu; server_cpu ]; routing = None }
+            hosts = [ part.Churn.client_cpu; part.Churn.server_cpu ]; routing = None }
           schedule)
       cfg.chaos
   in
@@ -145,111 +114,17 @@ let run cfg =
       Invariant.attach_dispatcher c server_disp;
       Invariant.start c)
     checker;
-  let offered = ref 0 and admitted = ref 0 in
-  let degraded = ref 0 and refused = ref 0 in
-  let delivered_msgs = ref 0 and delivered_bytes = ref 0 in
-  let peak_live = ref 0 in
-  (* Goodput accounting: both endpoints of a connection share the wire
-     connection id, so the client side records what each session promised
-     its application (bytes requested, whether the class tolerates loss)
-     and the server side accumulates what actually arrived. *)
-  let conn_contract = Hashtbl.create 1024 in
-  let conn_received = Hashtbl.create 1024 in
-  Mantts.set_app_handler (Mantts.entity mantts server) (fun session d ->
-      incr delivered_msgs;
-      delivered_bytes := !delivered_bytes + d.Session.bytes;
-      let conn = Session.id session in
-      Hashtbl.replace conn_received conn
-        (d.Session.bytes
-        + Option.value ~default:0 (Hashtbl.find_opt conn_received conn));
-      Trace.event trace ~at:d.Session.delivered_at ~category:"deliver"
-        ~detail:(Printf.sprintf "%d:%d" (Session.id session) d.Session.bytes));
-  let base_rng = Rng.create (cfg.seed lxor 0x53574152 (* "SWAR" *)) in
-  let apps = Array.of_list Workloads.all in
-  let acd_for slot =
-    let app = apps.(slot mod Array.length apps) in
-    let monitored = cfg.monitored_share > 0 && slot mod cfg.monitored_share = 0 in
-    let qos =
-      {
-        (Workloads.qos app) with
-        Qos.duration = Some (if monitored then long_duration else short_duration);
-      }
-    in
-    (* Keep per-session whitebox collection to setup latency only: at ten
-       thousand sessions, unrestricted per-session instrumentation would
-       dominate memory, and the swarm pseudo-session already captures the
-       system-level picture. *)
-    Acd.make
-      ~tmc:{ Acd.collect = [ Unites.Setup_latency ]; sample_every = Time.sec 1.0 }
-      ~participants:[ server ] ~qos ()
-  in
-  let rec attempt slot round ~at =
-    ignore (Engine.schedule engine ~at (fun () -> open_now slot round))
-  and open_now slot round =
-    incr offered;
-    let rng = Rng.split_ix base_rng ((slot * 131) + round) in
-    let name = Printf.sprintf "sw-%d-%d" slot round in
-    let acd = acd_for slot in
-    let lifetime = Time.ms (300 + Rng.int rng 500) in
-    match
-      Mantts.try_open_session ~name ?scs_transform:cfg.scs_transform mantts
-        ~src:client ~acd ()
-    with
-    | Error _ ->
-      incr refused;
-      Trace.event trace
-        ~at:(Engine.now engine)
-        ~category:"refuse"
-        ~detail:(string_of_int slot);
-      (* Offered load keeps pressing: retry the slot's next round. *)
-      if round < cfg.churn_rounds then
-        attempt slot (round + 1) ~at:(Time.add (Engine.now engine) (Time.ms 200))
-    | Ok (session, decision) ->
-      incr admitted;
-      if decision = Mantts.Degraded then begin
-        incr degraded;
-        Trace.event trace
-          ~at:(Engine.now engine)
-          ~category:"degrade"
-          ~detail:(string_of_int (Session.id session))
-      end;
-      Trace.event trace
-        ~at:(Engine.now engine)
-        ~category:"open"
-        ~detail:(string_of_int (Session.id session));
-      Option.iter
-        (fun st ->
-          Steer.watch st session
-            ~loss_tolerant:(acd.Acd.qos.Qos.loss_tolerance > 0.0))
-        steer;
-      let live = Session.Dispatcher.session_count client_disp in
-      if live > !peak_live then peak_live := live;
-      let bytes = max 64 ((cfg.payload_bytes / 2) + Rng.int rng cfg.payload_bytes) in
-      Hashtbl.replace conn_contract (Session.id session)
-        (bytes, acd.Acd.qos.Qos.loss_tolerance > 0.0);
-      Session.send session ~bytes ();
-      ignore
-        (Engine.schedule engine
-           ~at:(Time.add (Engine.now engine) lifetime)
-           (fun () ->
-             Trace.event trace
-               ~at:(Engine.now engine)
-               ~category:"close"
-               ~detail:(string_of_int (Session.id session));
-             Mantts.close_session mantts session;
-             if round < cfg.churn_rounds then
-               attempt slot (round + 1)
-                 ~at:(Time.add (Engine.now engine) (Time.ms 100))))
-  in
-  for slot = 0 to cfg.sessions - 1 do
-    attempt slot 0 ~at:(slot * cfg.open_window / cfg.sessions)
-  done;
-  (* Generous ceiling; the run quiesces long before it in practice. *)
-  let horizon =
-    Time.add cfg.open_window
-      (Time.sec (3.0 *. float_of_int (cfg.churn_rounds + 1)))
-  in
-  Adaptive.run stack ~until:horizon;
+  (* The checker's sweep and the fault schedule are armed before the
+     opens, so their events keep their place in same-instant ties. *)
+  Churn.schedule_opens part
+    ~rng:(Rng.create (cfg.seed lxor 0x53574152 (* "SWAR" *)))
+    ~slots:cfg.sessions ~churn_rounds:cfg.churn_rounds
+    ~payload_bytes:cfg.payload_bytes ~monitored_share:cfg.monitored_share
+    ~name:(Printf.sprintf "sw-%d-%d")
+    ~open_at:(fun slot -> slot * cfg.open_window / cfg.sessions)
+    ?scs_transform:cfg.scs_transform ?steer ();
+  Adaptive.run stack
+    ~until:(Churn.horizon ~open_window:cfg.open_window ~churn_rounds:cfg.churn_rounds);
   Option.iter Invariant.finish checker;
   let summary_of m =
     Option.value
@@ -260,30 +135,18 @@ let run cfg =
   let occupancy = summary_of Unites.Table_occupancy in
   Option.iter (fun h -> Session.Wire.observe h unites) wire_handle;
   {
-    offered = !offered;
-    admitted = !admitted;
-    degraded = !degraded;
-    refused = !refused;
-    closed = Trace.counter trace "close";
-    delivered_msgs = !delivered_msgs;
-    delivered_bytes = !delivered_bytes;
-    goodput_bytes =
-      (* Loss-tolerant classes use whatever arrived; a fully-reliable
-         application's transfer is only useful if all of it arrived (a
-         file with holes is not partial goodput, it is waste). *)
-      Hashtbl.fold
-        (fun conn (requested, tolerant) acc ->
-          let got =
-            Option.value ~default:0 (Hashtbl.find_opt conn_received conn)
-          in
-          if tolerant then acc + min got requested
-          else if got >= requested then acc + requested
-          else acc)
-        conn_contract 0;
-    peak_live = !peak_live;
+    offered = part.Churn.offered;
+    admitted = part.Churn.admitted;
+    degraded = part.Churn.degraded;
+    refused = part.Churn.refused;
+    closed = Trace.counter part.Churn.trace "close";
+    delivered_msgs = part.Churn.delivered_msgs;
+    delivered_bytes = part.Churn.delivered_bytes;
+    goodput_bytes = Churn.goodput part;
+    peak_live = part.Churn.peak_live;
     sim_time = Adaptive.now stack;
     events_fired = (Engine.counters engine).Engine.events_fired;
-    digest = Trace.hash trace;
+    digest = Trace.hash part.Churn.trace;
     demux_probes_mean = probes.Stats.mean;
     demux_probes_p99 = probes.Stats.p99;
     occupancy_p99 = occupancy.Stats.p99;

@@ -10,7 +10,11 @@
 
     Most sessions declare a sub-second duration, so MANTTS skips their
     policy monitor (§4.1.1); every [monitored_share]-th session is
-    long-declared and exercises the shared monitor tick. *)
+    long-declared and exercises the shared monitor tick.
+
+    The host pair and the slot lifecycle are {!Churn}'s, shared with
+    {!Megaswarm}; this entry point adds the wire path, admission, the
+    invariant checker, fault injection and the swarm report. *)
 
 open Adaptive_sim
 open Adaptive_core
@@ -31,11 +35,6 @@ type config = {
                     network as real bytes through the fused zero-copy
                     codec path.  On this lossless topology the trace
                     digest must equal the value-mode digest. *)
-  estimator : Stats.estimator;
-      (** Quantile estimator for the run's UNITES repository.
-          [Reservoir] (the default) is what the goldens pin; [P2] caps
-          metric memory at a few floats per (session, metric) for
-          megaswarm-scale churn. *)
   steer : Steer.policy option;
       (** When set, every admitted session is put under a STEER
           closed-loop policy engine with this policy (loss-tolerant
@@ -69,22 +68,17 @@ type config = {
           a realistic shallow queue makes overload tail-drop, so ARQ
           floods during loss bursts become self-punishing. *)
   host_speed : float;
-      (** CPU speed multiplier for the two endpoint hosts (default 1.0 =
-          2 us/packet + 1 ns/byte), applied through [Host.create ~speed]
-          so it also divides the per-byte checksum work the session
-          layer charges.  The two endpoints stand for a whole population
-          of hosts, so experiments that scale [link_bps] with the
-          session count should scale this the same way — an unscaled
-          host CPU (the checksum charge alone is a ~55k pkts/s ceiling)
-          quietly becomes the binding constraint of a 10k-session run,
-          starving handshakes on an uncongested wire. *)
+      (** CPU speed multiplier for the two endpoint hosts (1.0 = 2 us/packet
+          + 1 ns/byte, checksum work included).  Experiments that scale
+          [link_bps] with the session count scale this too, or the host
+          CPU quietly becomes the binding constraint. *)
 }
 
 val default_config : sessions:int -> seed:int -> config
 (** 2 churn rounds, 2000-byte payloads, a 1 s open window, no admission
-    policy, every 10th slot monitored, value (non-wire) mode, reservoir
-    quantiles, no steering, no chaos, no invariant checking, no SCS
-    pinning, a 1 Gb/s link with a 65535-byte MTU, host speed 1.0. *)
+    policy, every 10th slot monitored, value (non-wire) mode, no
+    steering, no chaos, no invariant checking, no SCS pinning, a 1 Gb/s
+    link with a 65535-byte MTU, host speed 1.0. *)
 
 type outcome = {
   offered : int;  (** Open attempts (including churn reopens). *)

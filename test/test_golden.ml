@@ -324,6 +324,50 @@ let steer_swarm_output () =
 let test_steer_swarm () =
   check_golden "steered swarm report" steer_swarm_golden (steer_swarm_output ())
 
+(* Megaswarm pinned end to end: the outcome block (counters, per-stage
+   sync figures, combined and per-partition digests) plus the MD5 of the
+   rendered per-partition UNITES reports.  The shard-parity properties
+   only compare runs against each other; these pin the absolute values,
+   so a change to the partition builder or the slot lifecycle that moves
+   every shard alike still lands here. *)
+let megaswarm_output cfg =
+  let open Adaptive_workloads in
+  let o = Megaswarm.run cfg in
+  Format.asprintf "%a@.reports md5=%s" Megaswarm.pp_outcome o
+    (Digest.to_hex (Digest.string (String.concat "\n" o.Megaswarm.unites_reports)))
+
+let megaswarm_default_golden = {golden|megaswarm: offered=400 admitted=400 refused=0 cross=16
+delivered: 416 msgs, 811454 bytes; peak live=51; wan msgs=96
+demux probes mean (worst partition)=2.237
+monitor ticks=81 walked=230; tw sweeps=82 expired=832
+sync windows=461 skipped spans=33
+events=8307 sim_time=3.134s digest=0x8a9df30e807ab180
+partition digests: 0x3ad9b1e415af0002 0x944dc7e9c3a889ca 0x864b54d078caee83 0x770a78e79cbae51d
+reports md5=0148c43e812a9298e9c6797f03dc64a9|golden}
+
+let megaswarm_steered_golden = {golden|megaswarm: offered=400 admitted=400 refused=0 cross=14
+delivered: 414 msgs, 825226 bytes; peak live=96; wan msgs=84
+demux probes mean (worst partition)=1.439
+monitor ticks=41 walked=211; tw sweeps=44 expired=828
+sync windows=458 skipped spans=32
+events=8277 sim_time=3.182s digest=0x4c407b41ca4cf060
+partition digests: 0xfe499f6f637534e5 0x9ce420767ca5ce68
+reports md5=1b62315c7c9995e810b6b2a187d539e5|golden}
+
+let test_megaswarm_default () =
+  check_golden "megaswarm report" megaswarm_default_golden
+    (megaswarm_output (Adaptive_workloads.Megaswarm.default_config ~sessions:200 ~seed:2024))
+
+let test_megaswarm_steered () =
+  let open Adaptive_workloads in
+  check_golden "steered megaswarm report" megaswarm_steered_golden
+    (megaswarm_output
+       { (Megaswarm.default_config ~sessions:200 ~seed:99) with
+         Megaswarm.partitions = 2;
+         steer = Some Steer.default_policy;
+         session_cap = Some 16;
+         wan_spread = Time.ms 3 })
+
 let suite =
   [
     ( "golden",
@@ -335,5 +379,9 @@ let suite =
           test_wire_swarm;
         Alcotest.test_case "steered swarm report is pinned" `Quick
           test_steer_swarm;
+        Alcotest.test_case "megaswarm report is pinned" `Quick
+          test_megaswarm_default;
+        Alcotest.test_case "steered megaswarm report is pinned" `Quick
+          test_megaswarm_steered;
       ] );
   ]

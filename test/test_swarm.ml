@@ -442,6 +442,39 @@ let test_swarm_deterministic () =
   check_bool "demux stayed O(1) on average" true
     (o1.Adaptive_workloads.Swarm.demux_probes_mean < 2.0)
 
+(* A non-positive payload is a configuration error, reported by name
+   from the shared lifecycle before the run starts — not as an
+   [Rng.int] bound failure from inside the first open event. *)
+let test_payload_bytes_rejected () =
+  let open Adaptive_workloads in
+  let names_field = function
+    | Invalid_argument msg ->
+      String.starts_with ~prefix:"Churn.schedule_opens: payload_bytes" msg
+    | _ -> false
+  in
+  let rejects label run =
+    match run () with
+    | () -> Alcotest.failf "%s: payload_bytes < 1 was accepted" label
+    | exception e ->
+      check_bool
+        (Printf.sprintf "%s: Invalid_argument naming payload_bytes (%s)" label
+           (Printexc.to_string e))
+        true (names_field e)
+  in
+  List.iter
+    (fun payload_bytes ->
+      rejects "swarm" (fun () ->
+          ignore
+            (Swarm.run
+               { (Swarm.default_config ~sessions:10 ~seed:1) with
+                 Swarm.payload_bytes }));
+      rejects "megaswarm" (fun () ->
+          ignore
+            (Megaswarm.run
+               { (Megaswarm.default_config ~sessions:10 ~seed:1) with
+                 Megaswarm.payload_bytes })))
+    [ 0; -5 ]
+
 let suite =
   [
     ( "swarm.conntable",
@@ -464,5 +497,7 @@ let suite =
       [
         Alcotest.test_case "swarm workload is deterministic" `Quick
           test_swarm_deterministic;
+        Alcotest.test_case "payload_bytes < 1 is rejected by name" `Quick
+          test_payload_bytes_rejected;
       ] );
   ]

@@ -191,7 +191,7 @@ let run_schedule ?(sabotage = false) ?(wire = false) ~env ~seed schedule =
     o_switches = switches;
     o_events = Engine.events_fired engine;
     o_wire = Option.map Session.Wire.report wire_handle;
-    o_unites = Format.asprintf "%a" Unites.report stack.Adaptive.unites;
+    o_unites = Unites.render stack.Adaptive.unites;
   }
 
 let run_one ?sabotage ?wire ~env ~seed () =

@@ -257,6 +257,9 @@ type t = {
      [sample_scheduler] observes the delta since the previous sample *)
   mutable sched_fired_seen : int;
   mutable sched_rearmed_seen : int;
+  mutable rendered_at : Engine.counters option;
+      (* the engine's counters when a render last sampled the scheduler,
+         until an explicit [sample_scheduler] *)
   mutable trace : Trace.t option;
 }
 
@@ -306,6 +309,7 @@ let create ?(whitebox = true) ?(bucket = Time.sec 1.0) ?(reservoir = 8192)
     whitebox_count = 0;
     sched_fired_seen = 0;
     sched_rearmed_seen = 0;
+    rendered_at = None;
     trace = None;
   }
 
@@ -496,23 +500,39 @@ let whitebox_samples t = t.whitebox_count
 let attach_trace t trace = t.trace <- Some trace
 let attached_trace t = t.trace
 
+let sample t =
+  register_session t ~id:scheduler_session ~name:"scheduler";
+  let c = Engine.counters t.engine in
+  let d_fired = c.Engine.events_fired - t.sched_fired_seen in
+  let d_rearmed = c.Engine.timers_rearmed - t.sched_rearmed_seen in
+  t.sched_fired_seen <- c.Engine.events_fired;
+  t.sched_rearmed_seen <- c.Engine.timers_rearmed;
+  if d_fired > 0 then
+    observe t ~session:scheduler_session Sched_events_fired (float_of_int d_fired);
+  if d_rearmed > 0 then
+    observe t ~session:scheduler_session Sched_timers_rearmed (float_of_int d_rearmed);
+  observe t ~session:scheduler_session Sched_cancelled_ratio
+    (Engine.cancelled_ratio t.engine);
+  observe t ~session:scheduler_session Sched_wheel_hit_rate
+    (Engine.wheel_hit_rate t.engine)
+
 let sample_scheduler t =
   if t.whitebox then begin
-    register_session t ~id:scheduler_session ~name:"scheduler";
+    sample t;
+    t.rendered_at <- None
+  end
+
+(* A render folds the scheduler in unless the last sample was a render's
+   and no engine counter has moved since: re-sampling an unchanged engine
+   would add one more observation of the same ratios to the repository
+   it presents. *)
+let sample_for_render t =
+  if t.whitebox then begin
     let c = Engine.counters t.engine in
-    let d_fired = c.Engine.events_fired - t.sched_fired_seen in
-    let d_rearmed = c.Engine.timers_rearmed - t.sched_rearmed_seen in
-    t.sched_fired_seen <- c.Engine.events_fired;
-    t.sched_rearmed_seen <- c.Engine.timers_rearmed;
-    if d_fired > 0 then
-      observe t ~session:scheduler_session Sched_events_fired (float_of_int d_fired);
-    if d_rearmed > 0 then
-      observe t ~session:scheduler_session Sched_timers_rearmed
-        (float_of_int d_rearmed);
-    observe t ~session:scheduler_session Sched_cancelled_ratio
-      (Engine.cancelled_ratio t.engine);
-    observe t ~session:scheduler_session Sched_wheel_hit_rate
-      (Engine.wheel_hit_rate t.engine)
+    if t.rendered_at <> Some c then begin
+      sample t;
+      t.rendered_at <- Some c
+    end
   end
 
 let cell_fold f acc c =
@@ -543,30 +563,81 @@ let aggregate_series t m =
   Hashtbl.fold (fun slot v acc -> (slot * t.bucket, v) :: acc) merged []
   |> List.sort compare
 
-let report fmt t =
+(* Per metric index: everything a metric line holds before its summary. *)
+let line_prefix =
+  Array.of_list
+    (List.map
+       (fun m ->
+         Printf.sprintf "  %-20s [%s] " (metric_name m)
+           (match metric_kind m with Blackbox -> "bb" | Whitebox -> "wb"))
+       all_metrics)
+
+let sorted_keys h =
+  let a = Array.make (Hashtbl.length h) 0 and i = ref 0 in
+  Hashtbl.iter
+    (fun k _ ->
+      a.(!i) <- k;
+      incr i)
+    h;
+  Array.sort Int.compare a;
+  a
+
+(* The report's lines, each ended by [eol b].  Registered sessions come in
+   id order, each with its metrics in {!all_metrics} order: packed keys
+   sort by session, then metric index, so one pass over the sorted cells
+   yields them, skipping the cells of unregistered sessions. *)
+let render_lines t b eol =
   (* Fold the engine's current scheduler counters in so the report always
      shows scheduler overhead next to the transport metrics. *)
-  sample_scheduler t;
-  Format.fprintf fmt "@[<v>UNITES metric repository (t=%a, whitebox=%b)@,"
-    Time.pp (Engine.now t.engine) t.whitebox;
-  List.iter
-    (fun (id, name) ->
-      Format.fprintf fmt "session %d (%s):@," id name;
-      List.iter
-        (fun m ->
-          match stats t ~session:id m with
-          | None -> ()
-          | Some s ->
-            Format.fprintf fmt "  %-20s [%s] %a@," (metric_name m)
-              (match metric_kind m with Blackbox -> "bb" | Whitebox -> "wb")
-              Stats.pp_summary s)
-        all_metrics)
-    (sessions t);
-  (match t.trace with
+  sample_for_render t;
+  Buffer.add_string b "UNITES metric repository (t=";
+  Buffer.add_string b (Time.to_string (Engine.now t.engine));
+  Buffer.add_string b (if t.whitebox then ", whitebox=true)" else ", whitebox=false)");
+  eol b;
+  let cells = sorted_keys t.table in
+  let j = ref 0 in
+  Array.iter
+    (fun id ->
+      Buffer.add_string b "session ";
+      Buffer.add_string b (Int.to_string id);
+      Buffer.add_string b " (";
+      Buffer.add_string b (Hashtbl.find t.names id);
+      Buffer.add_string b "):";
+      eol b;
+      while !j < Array.length cells && cells.(!j) asr 6 < id do
+        incr j
+      done;
+      while !j < Array.length cells && cells.(!j) asr 6 = id do
+        let k = cells.(!j) in
+        Buffer.add_string b line_prefix.(key_metric k);
+        Stats.add_summary b (Stats.summarize (Hashtbl.find t.table k));
+        eol b;
+        incr j
+      done)
+    (sorted_keys t.names);
+  match t.trace with
   | None -> ()
   | Some trace ->
-    Format.fprintf fmt "trace (dropped log entries: %d):@," (Trace.dropped trace);
+    Buffer.add_string b "trace (dropped log entries: ";
+    Buffer.add_string b (Int.to_string (Trace.dropped trace));
+    Buffer.add_string b "):";
+    eol b;
     List.iter
-      (fun (name, n) -> Format.fprintf fmt "  %-28s %d@," name n)
-      (Trace.counters trace));
-  Format.fprintf fmt "@]"
+      (fun (name, n) ->
+        Buffer.add_string b (Printf.sprintf "  %-28s %d" name n);
+        eol b)
+      (Trace.counters trace)
+
+let render t =
+  let b = Buffer.create 4096 in
+  render_lines t b (fun b -> Buffer.add_char b '\n');
+  Buffer.contents b
+
+let report fmt t =
+  let b = Buffer.create 128 in
+  Format.pp_open_vbox fmt 0;
+  render_lines t b (fun b ->
+      Format.pp_print_string fmt (Buffer.contents b);
+      Buffer.clear b;
+      Format.pp_print_cut fmt ());
+  Format.pp_close_box fmt ()

@@ -222,7 +222,7 @@ val overflow_session : int
     in aggregate under this id instead of per-session accumulators. *)
 
 val attach_trace : t -> Trace.t -> unit
-(** Attach a trace sink so {!report} presents its counters — including
+(** Attach a trace sink so {!render} presents its counters — including
     the dropped-entry count of the bounded event log — alongside the
     metric repository. *)
 
@@ -233,9 +233,11 @@ val sample_scheduler : t -> unit
 (** Fold the engine's whitebox scheduler counters ({!Engine.counters})
     into the repository under {!scheduler_session}: events fired and
     timers re-armed since the previous sample, plus the current
-    cancelled-entry ratio and wheel hit rate.  Called automatically by
-    {!report}; experiments can also call it periodically to build the
-    bucketed series.  A no-op while whitebox collection is off. *)
+    cancelled-entry ratio and wheel hit rate.  Experiments can call it
+    periodically to build the bucketed series; every call samples.
+    {!render} and {!report} sample too, unless the previous sample was
+    a render's and no engine counter has moved since.  A no-op while
+    whitebox collection is off. *)
 
 val series : t -> session:int -> metric -> (Time.t * float) list
 (** Per-bucket totals of a session's metric over simulated time, oldest
@@ -246,5 +248,27 @@ val series : t -> session:int -> metric -> (Time.t * float) list
 val aggregate_series : t -> metric -> (Time.t * float) list
 (** Bucketed totals across every session. *)
 
+val render : t -> string
+(** The per-session presentation of all collected metrics: a header
+    line
+    [UNITES metric repository (t=<time>, whitebox=<bool>)]; for each
+    registered session in id order, [session <id> (<name>):] and one
+    line per recorded metric in {!all_metrics} order,
+    [  <name padded to 20> [bb|wb] <summary>]; then, with a trace
+    attached, [trace (dropped log entries: <n>):] and one
+    [  <name padded to 28> <count>] line per counter.  Every line ends
+    in ['\n'].  Cells of unregistered sessions are not shown.
+
+    Rendering first folds the engine's scheduler counters in (see
+    {!sample_scheduler}), so a first render changes the repository.  It
+    is idempotent after that: rendering again with no engine event, no
+    scheduler activity and no observation in between gives the same
+    bytes.  Each call keeps all its state local, so repositories can be
+    rendered on several domains at once. *)
+
 val report : Format.formatter -> t -> unit
-(** Per-session presentation of all collected metrics. *)
+(** {!render}'s lines in a vertical box: at column 0 it prints exactly
+    {!render}'s text; at column [c] the lines after the first are
+    indented to [c], as any [%a] printer in a vertical box.  Rendering
+    through [Format] costs several times {!render}'s time and
+    allocation; use {!render} where the string is what is wanted. *)

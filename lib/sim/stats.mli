@@ -89,5 +89,8 @@ val summarize : t -> summary
     once, in one copy, for all three: a full reservoir costs that copy
     plus a constant, and a {!P2} summary only the constant. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-(** One-line printer for a summary. *)
+val add_summary : Buffer.t -> summary -> unit
+(** Append the one-line rendering of a summary,
+    [n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g],
+    byte for byte what [Printf] gives for that format, without its
+    interpreter. *)

@@ -21,11 +21,13 @@ let of_rate ~bits ~bps =
   if bps <= 0.0 then invalid_arg "Time.of_rate: non-positive rate";
   int_of_float (Float.round (float_of_int bits /. bps *. 1e9))
 
-let pp fmt t =
+(* The one rendering of an instant; [pp] and the UNITES report header
+   both print it. *)
+let to_string t =
   let a = abs t in
-  if a < 1_000 then Format.fprintf fmt "%dns" t
-  else if a < 1_000_000 then Format.fprintf fmt "%.2fus" (to_us t)
-  else if a < 1_000_000_000 then Format.fprintf fmt "%.2fms" (to_ms t)
-  else Format.fprintf fmt "%.3fs" (to_sec t)
+  if a < 1_000 then Printf.sprintf "%dns" t
+  else if a < 1_000_000 then Printf.sprintf "%.2fus" (to_us t)
+  else if a < 1_000_000_000 then Printf.sprintf "%.2fms" (to_ms t)
+  else Printf.sprintf "%.3fs" (to_sec t)
 
-let to_string t = Format.asprintf "%a" pp t
+let pp fmt t = Format.pp_print_string fmt (to_string t)

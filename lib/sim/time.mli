@@ -58,8 +58,10 @@ val of_rate : bits:int -> bps:float -> t
 (** [of_rate ~bits ~bps] is the time needed to serialize [bits] bits onto a
     channel of [bps] bits per second. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable printer choosing an adequate unit (ns, us, ms, s). *)
-
 val to_string : t -> string
-(** [to_string t] is [Format.asprintf "%a" pp t]. *)
+(** Human-readable rendering choosing an adequate unit: [%dns] below
+    1 us, [%.2fus] below 1 ms, [%.2fms] below 1 s, [%.3fs] from there
+    (by absolute value). *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

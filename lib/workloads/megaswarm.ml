@@ -280,7 +280,8 @@ let run ?clock cfg =
     Array.to_list
       (Array.mapi
          (fun i c ->
-           Format.asprintf "partition %d@.%a" i Unites.report c.Churn.stack.Adaptive.unites)
+           Printf.sprintf "partition %d\n" i
+           ^ Unites.render c.Churn.stack.Adaptive.unites)
          churns)
   in
   let stage_minor_words =

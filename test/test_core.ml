@@ -280,6 +280,192 @@ let test_unites_report_smoke () =
   check_bool "mentions session" true (string_contains out "smoke");
   check_bool "mentions metric" true (string_contains out "segments_sent")
 
+(* Rendering samples the scheduler, but only when something moved since
+   the last render's sample: an unchanged repository renders to the same
+   bytes twice, and later events still show. *)
+let test_unites_render_idempotent () =
+  let e = Engine.create () in
+  let u = Unites.create e in
+  Unites.register_session u ~id:1 ~name:"idem";
+  ignore
+    (Engine.schedule e ~at:(Time.ms 1) (fun () ->
+         Unites.count u ~session:1 Unites.Segments_sent));
+  Engine.run e;
+  let ratio_n n out = string_contains out (Printf.sprintf "sched_cancelled_ratio [wb] n=%d " n) in
+  let first = Unites.render u in
+  check_bool "first render samples" true (ratio_n 1 first);
+  check_str "second render" first (Unites.render u);
+  check_str "report at column 0" first (Format.asprintf "%a" Unites.report u);
+  ignore (Engine.schedule e ~at:(Time.ms 2) ignore);
+  Engine.run e;
+  let third = Unites.render u in
+  check_bool "new events sampled" true (ratio_n 2 third);
+  check_bool "new clock" true (string_contains third "(t=2.00ms, whitebox=true)");
+  check_bool "new event count" true
+    (string_contains third "sched_events_fired   [wb] n=2 mean=1 ");
+  check_str "unchanged again" third (Unites.render u);
+  (* An explicit sample is not a render's: the next render samples too,
+     as a first render after it always did. *)
+  Unites.sample_scheduler u;
+  check_bool "explicit sample, then render" true (ratio_n 4 (Unites.render u))
+
+(* Minor words per line of one render of a churn-like repository: short
+   P² sessions with a few metrics each, as a megaswarm partition holds.
+   On this repository the [Format] renderer allocated 545 words a line
+   and the direct one allocates 30; the bound leaves 2x headroom. *)
+let test_unites_render_alloc () =
+  let e = Engine.create () in
+  let u = Unites.create ~estimator:Stats.P2 ~reservoir:64 e in
+  for s = 1 to 200 do
+    Unites.register_session u ~id:s ~name:(Printf.sprintf "ms-0-%d-0" s);
+    Unites.observe u ~session:s Unites.Setup_latency 0.0;
+    Unites.observe u ~session:s Unites.Setup_latency (float_of_int (s mod 3) *. 6e-5);
+    Unites.count u ~session:s Unites.Control_pdus;
+    Unites.observe u ~session:s Unites.Host_cpu (6.4e-6 +. (float_of_int s *. 1e-9));
+    if s mod 2 = 0 then Unites.observe u ~session:s Unites.Rtt (0.012 +. (float_of_int s *. 1e-6));
+    if s mod 25 = 0 then
+      for i = 1 to 40 do
+        Unites.observe u ~session:s Unites.Delivery_latency (float_of_int i *. 1e-3)
+      done
+  done;
+  ignore (Engine.schedule e ~at:(Time.ms 3) ignore);
+  Engine.run e;
+  let w0 = Gc.minor_words () in
+  let out = Unites.render u in
+  let words = Gc.minor_words () -. w0 in
+  let lines = List.length (String.split_on_char '\n' out) - 1 in
+  check_bool "fixed repository" true (lines > 800);
+  let per_line = words /. float_of_int lines in
+  if per_line > 64.0 then
+    Alcotest.failf "render allocates %.1f minor words per line (bound 64)" per_line
+
+(* ---------------------------------------------- UNITES report reference *)
+
+(* Differential check against [Unites_report_reference], the [Format]
+   renderer the direct one replaced.  Rendering samples the scheduler,
+   so each side renders its own repository, built from the same ops. *)
+
+type unites_op =
+  | Register of int * string
+  | Observe of int * int * float list (* session, metric index, values *)
+  | Restrict of int * int list
+  | Advance of Time.t
+  | Set_whitebox of bool
+  | Sample
+  | Trace_count of string * int
+  | Trace_event of string
+
+let metric_at = Array.of_list Unites.all_metrics
+
+(* Pseudo-sessions (0 to -5), one id below them, and real ids. *)
+let gen_session = QCheck2.Gen.int_range (-6) 12
+
+(* Up to 40 characters: past the 20-column metric and 28-column counter
+   pads. *)
+let gen_label = QCheck2.Gen.(string_size ~gen:(char_range ' ' '~') (int_range 0 40))
+
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              nan; -.nan; infinity; neg_infinity; 0.0; -0.0; 5e-324; 1e-310;
+              2.2250738585072014e-308; 1e21; -1e21; 1e-5; 9999.0; 10000.0;
+              9999.5; 0.99995; 1e15;
+            ] );
+        (3, map float_of_int (int_range (-20) 20));
+        (3, float_range (-1e3) 1e3);
+        (1, float_range 0.0 1e-4);
+        (1, map Int64.float_of_bits int64);
+      ])
+
+(* Instants either side of the ns/us/ms/s unit switches and of the
+   [%.2f]/[%.3f] rounding carries. *)
+let gen_instant =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              999; 1_000; 1_001; 999_994; 999_995; 999_999; 1_000_000;
+              999_994_999; 999_995_000; 999_999_999; 1_000_000_000;
+              1_000_000_001; 59_999_500_000;
+            ] );
+        (1, int_range 0 100_000_000_000);
+      ])
+
+let gen_unites_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, map2 (fun id name -> Register (id, name)) gen_session gen_label);
+        ( 6,
+          map3
+            (fun id mi vs -> Observe (id, mi, vs))
+            gen_session
+            (int_range 0 (Array.length metric_at - 1))
+            (list_size (int_range 1 12) gen_value) );
+        ( 1,
+          map2
+            (fun id mis -> Restrict (id, mis))
+            gen_session
+            (list_size (int_range 0 3) (int_range 0 (Array.length metric_at - 1))) );
+        (2, map (fun at -> Advance at) gen_instant);
+        (1, map (fun b -> Set_whitebox b) bool);
+        (1, return Sample);
+        (1, map2 (fun name n -> Trace_count (name, n)) gen_label (int_range (-3) 1000));
+        (1, map (fun name -> Trace_event name) gen_label);
+      ])
+
+let build_unites (p2, whitebox, session_cap, traced) ops =
+  let e = Engine.create () in
+  let estimator = if p2 then Stats.P2 else Stats.Reservoir in
+  let u = Unites.create ~whitebox ~reservoir:8 ~estimator ?session_cap e in
+  let trace = Trace.create ~log_capacity:2 () in
+  if traced then Unites.attach_trace u trace;
+  List.iter
+    (function
+      | Register (id, name) -> Unites.register_session u ~id ~name
+      | Observe (id, mi, vs) ->
+        List.iter (Unites.observe u ~session:id metric_at.(mi)) vs
+      | Restrict (id, mis) ->
+        Unites.restrict_session u ~id (List.map (Array.get metric_at) mis)
+      | Advance at ->
+        ignore (Engine.schedule e ~at:(max at (Engine.now e)) ignore);
+        Engine.run e
+      | Set_whitebox b -> Unites.set_whitebox u b
+      | Sample -> Unites.sample_scheduler u
+      | Trace_count (name, n) -> Trace.count_by trace name n
+      | Trace_event name -> Trace.event trace ~at:(Engine.now e) ~category:name ~detail:"d")
+    ops;
+  (e, u)
+
+let same_text what got want =
+  got = want
+  || QCheck2.Test.fail_reportf "%s:@.%S@.reference:@.%S" what got want
+
+let prop_unites_render_matches_reference =
+  QCheck2.Test.make ~name:"render/report = Format reference byte for byte" ~count:300
+    QCheck2.Gen.(
+      triple
+        (quad bool bool (opt (int_range 1 4)) bool)
+        (list_size (int_range 0 40) gen_unites_op)
+        (oneofl [ 0; 2; 70 ]))
+    (fun (cfg, ops, column) ->
+      let reference pad =
+        let e, u = build_unites cfg ops in
+        Format.asprintf "%s%a" pad (fun fmt u -> Unites_report_reference.report fmt e u) u
+      in
+      let pad = String.make column ' ' in
+      same_text "render" (Unites.render (snd (build_unites cfg ops))) (reference "")
+      && same_text
+           (Printf.sprintf "report at column %d" column)
+           (Format.asprintf "%s%a" pad Unites.report (snd (build_unites cfg ops)))
+           (reference pad))
+
 (* ------------------------------------------------------------------ Tko *)
 
 let test_tko_synthesize_components () =
@@ -595,7 +781,10 @@ let suite =
         Alcotest.test_case "first name wins" `Quick test_unites_first_name_wins;
         Alcotest.test_case "bucketed series" `Quick test_unites_series;
         Alcotest.test_case "report smoke" `Quick test_unites_report_smoke;
-      ] );
+        Alcotest.test_case "render is idempotent" `Quick test_unites_render_idempotent;
+        Alcotest.test_case "render allocation per line" `Quick test_unites_render_alloc;
+      ]
+      @ qsuite [ prop_unites_render_matches_reference ] );
     ( "core.protograph",
       [
         Alcotest.test_case "graph edit operations" `Quick test_protograph_edit_ops;
